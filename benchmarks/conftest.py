@@ -9,6 +9,10 @@ Every benchmark regenerates one table or figure of the paper:
   stdout and written to ``benchmarks/results/<name>.txt`` so they can be
   compared against the paper and against EXPERIMENTS.md.
 
+The perf benchmarks' reports carry wall-clock timings, which differ on every
+run; they go to the git-ignored ``benchmarks/results/perf/`` so running the
+suite never dirties the tree.
+
 Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
 reports inline).
 """
@@ -20,19 +24,30 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+TIMING_RESULTS_DIR = RESULTS_DIR / "perf"
+
+
+def _writer(directory: pathlib.Path):
+    directory.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, text: str) -> None:
+        path = directory / f"{name}.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        print(f"\n{'=' * 72}\n{text}\n(saved to {path})")
+
+    return write
 
 
 @pytest.fixture(scope="session")
 def report_writer():
     """Returns a callable that persists a regenerated figure/table report."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    return _writer(RESULTS_DIR)
 
-    def write(name: str, text: str) -> None:
-        path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n", encoding="utf-8")
-        print(f"\n{'=' * 72}\n{text}\n(saved to {path})")
 
-    return write
+@pytest.fixture(scope="session")
+def timing_report_writer():
+    """Like ``report_writer``, for timing-bearing reports (git-ignored)."""
+    return _writer(TIMING_RESULTS_DIR)
 
 
 @pytest.fixture(scope="session")

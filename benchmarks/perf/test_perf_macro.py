@@ -10,7 +10,7 @@ timing noise.
 from repro.experiments import perf
 
 
-def test_bench_perf_closed_loop_sweep(benchmark, report_writer):
+def test_bench_perf_closed_loop_sweep(benchmark, timing_report_writer):
     samples = benchmark.pedantic(
         lambda: [perf.macro_closed_loop(clients) for clients in (8, 64)],
         rounds=1,
@@ -23,17 +23,17 @@ def test_bench_perf_closed_loop_sweep(benchmark, report_writer):
             f"{sample.events_per_s:,.0f} events/s, "
             f"peak {sample.extra['peak_active_flows']} active flows"
         )
-    report_writer("perf_closed_loop", "\n".join(lines))
+    timing_report_writer("perf_closed_loop", "\n".join(lines))
     # Every client keeps d+p chunk flows in flight at peak.
     assert samples[1].extra["peak_active_flows"] > samples[0].extra["peak_active_flows"]
     assert all(sample.events > 0 for sample in samples)
 
 
-def test_bench_perf_arbiter_fingerprint_gate(benchmark, report_writer):
+def test_bench_perf_arbiter_fingerprint_gate(benchmark, timing_report_writer):
     comparison = benchmark.pedantic(
         lambda: perf.compare_arbiters(clients=64), rounds=1, iterations=1
     )
-    report_writer(
+    timing_report_writer(
         "perf_arbiter_gate",
         f"arbiter comparison at {comparison['clients']} clients: "
         f"incremental {comparison['incremental_wall_s']:.3f}s vs "

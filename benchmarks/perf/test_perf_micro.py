@@ -9,11 +9,11 @@ up as timing deltas here and as events/sec drops in ``BENCH_perf.json``.
 from repro.experiments import perf
 
 
-def test_bench_perf_event_queue(benchmark, report_writer):
+def test_bench_perf_event_queue(benchmark, timing_report_writer):
     sample = benchmark.pedantic(
         lambda: perf.micro_event_queue(events=20_000), rounds=1, iterations=1
     )
-    report_writer(
+    timing_report_writer(
         "perf_event_queue",
         f"event queue micro: {sample.events} events in {sample.wall_s:.3f}s "
         f"({sample.events_per_s:,.0f} events/s; "
@@ -25,14 +25,14 @@ def test_bench_perf_event_queue(benchmark, report_writer):
     assert sample.events_per_s > 0
 
 
-def test_bench_perf_flow_churn(benchmark, report_writer):
+def test_bench_perf_flow_churn(benchmark, timing_report_writer):
     incremental = benchmark.pedantic(
         lambda: perf.micro_flow_churn(flows=1_000, arbiter="incremental"),
         rounds=1,
         iterations=1,
     )
     reference = perf.micro_flow_churn(flows=1_000, arbiter="reference")
-    report_writer(
+    timing_report_writer(
         "perf_flow_churn",
         "flow churn micro (1000 staggered transfers over 32 NICs / 8 uplinks):\n"
         f"  incremental: {incremental.wall_s:.3f}s "

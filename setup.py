@@ -27,12 +27,10 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.10",
-    # The simulator is pure-python; numpy only accelerates the vectorized
-    # flow arbiter (``InfiniCacheConfig(flow_arbiter="vectorized")`` falls
-    # back to the byte-identical scalar arbiter without it).
-    install_requires=[],
+    # numpy backs the seeded RNG streams (``repro.utils.rng``) and the
+    # GF(2^8) Reed-Solomon codec (``repro.erasure``).
+    install_requires=["numpy"],
     extras_require={
-        "perf": ["numpy"],
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },
     entry_points={

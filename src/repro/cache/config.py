@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 from repro.faas.limits import validate_memory_bytes
+from repro.network.flows import ARBITER_NAMES
 from repro.utils.units import MILLISECOND, MINUTE, MIB
 
 
@@ -156,14 +157,13 @@ class InfiniCacheConfig:
     #: heavier-tailed :attr:`straggler` model, which fires with a probability.
     transfer_jitter_fraction: float = 0.0
     #: Which flow arbiter backs the event-driven request path:
-    #: ``"vectorized"`` (numpy batch settlement over contiguous per-group
-    #: arrays, the default; falls back to ``incremental`` when numpy is not
-    #: installed), ``"incremental"`` (scalar bottleneck-group arbitration),
-    #: or ``"reference"`` (the global-recompute sweep with eager completion
-    #: events).  All three are byte-identical in settled bytes and finish
-    #: times — the scalar arbiters are kept for differential testing and as
-    #: perf-harness baselines.
-    flow_arbiter: str = "vectorized"
+    #: ``"incremental"`` (bottleneck-group arbitration, the default) or
+    #: ``"reference"`` (the global-recompute sweep with eager completion
+    #: events).  The two are byte-identical in settled bytes and finish
+    #: times; the reference is kept as the differential-testing oracle and
+    #: perf-harness baseline.  ``docs/performance.md`` ("Choosing the
+    #: arbiter") records the measurements behind the default.
+    flow_arbiter: str = "incremental"
     #: If set, the flow network retains at most this many finished/abandoned
     #: transfer intervals (aggregate flow statistics are unaffected).  Long
     #: open-loop replays use it to keep memory flat; ``None`` retains all.
@@ -221,10 +221,10 @@ class InfiniCacheConfig:
             raise ConfigurationError("coding bandwidths must be positive")
         if self.transfer_jitter_fraction < 0:
             raise ConfigurationError("transfer jitter fraction must be non-negative")
-        if self.flow_arbiter not in ("vectorized", "incremental", "reference"):
+        if self.flow_arbiter not in ARBITER_NAMES:
             raise ConfigurationError(
-                "flow_arbiter must be 'vectorized', 'incremental', or "
-                f"'reference', got {self.flow_arbiter!r}"
+                f"flow_arbiter must be one of {ARBITER_NAMES}, "
+                f"got {self.flow_arbiter!r}"
             )
         if self.flow_trace_limit is not None and self.flow_trace_limit < 0:
             raise ConfigurationError("flow_trace_limit must be >= 0 when set")

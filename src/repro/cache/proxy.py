@@ -1490,11 +1490,18 @@ class Proxy:
 
         Each node's warm-up is charged back to the tenants whose bytes it is
         keeping warm, pro-rata by stored bytes; warming an empty node is
-        unattributed (it lands in the cluster's own chargeback row).
+        unattributed (it lands in the cluster's own chargeback row).  A node
+        whose warm-up invocation hits a transient fault (an injected
+        invocation failure) is skipped until the next tick rather than
+        aborting the whole round.
         """
         tenant_bytes = self._tenant_bytes_by_node()
         for node in self.nodes:
-            node.ensure_active(now, "warmup")
+            try:
+                node.ensure_active(now, "warmup")
+            except TransientFaultError:
+                self.metrics.counter("proxy.warmup_faults").increment()
+                continue
             weights = tenant_bytes.get(node.node_id)
             attribution = {t: float(b) for t, b in weights.items()} if weights else None
             node.record_service(now, warmup_service_s, "warmup", attribution)

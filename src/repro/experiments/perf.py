@@ -13,10 +13,9 @@ benchmark their event cores.  This module is that measurement layer:
   fleet sizes (8 → 1024 clients) and report wall-clock, events/sec, and
   the peak number of simultaneously active flows;
 * the **arbiter comparison** runs the same closed-loop scenario under the
-  incremental bottleneck-group arbiter, the global-recompute
-  :class:`~repro.network.flows.ReferenceFlowNetwork`, and (when numpy is
-  installed) the vectorized batch-settlement arbiter, asserting all of
-  them produce byte-identical replay fingerprints and reporting speedups.
+  incremental bottleneck-group arbiter and the global-recompute
+  :class:`~repro.network.flows.ReferenceFlowNetwork`, asserting both
+  produce byte-identical replay fingerprints and reporting the speedup.
 
 ``python -m repro perf`` runs the suite and writes ``BENCH_perf.json``;
 CI runs it with ``--quick`` and fails the build on fingerprint drift
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
-from repro.network.flows import HAVE_NUMPY, resolve_arbiter
+from repro.network.flows import resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim.loop import EventLoop
 from repro.utils.units import MB, MIB
@@ -102,15 +101,12 @@ def micro_flow_churn(
     hosts: int = 32,
     proxies: int = 8,
     arbiter: str = "incremental",
-    tag: str = "",
 ) -> PerfSample:
     """Raw arbitration churn: staggered transfers joining and leaving.
 
     Drives the flow network directly (no cache on top): ``flows`` transfers
     start at staggered times across ``hosts`` NICs and ``proxies`` uplinks,
     so every start and finish is a rate transition on a populated network.
-    ``tag`` distinguishes non-default geometries in the sample name (the
-    suite uses it for the dense large-group variant).
     """
     loop = EventLoop()
     fabric = NetworkFabric(proxy_uplink_bps=2_000 * MB)
@@ -133,9 +129,8 @@ def micro_flow_churn(
     loop.run_all()
     wall = time.perf_counter() - start
     assert network.completed_flows == flows
-    suffix = f"{arbiter},{tag}" if tag else arbiter
     return PerfSample(
-        name=f"micro.flow_churn[{suffix}]",
+        name=f"micro.flow_churn[{arbiter}]",
         wall_s=wall,
         events=loop.events_processed,
         extra={
@@ -178,16 +173,17 @@ def macro_closed_loop(
     requests_per_client: int = 6,
     objects_per_client: int = 2,
     object_size: int = 2 * MB,
-    arbiter: str = "incremental",
+    arbiter: str = InfiniCacheConfig.flow_arbiter,
     seed: int = 2020,
 ) -> PerfSample:
     """One closed-loop replay at fleet size ``clients``, instrumented.
 
-    Returns wall-clock, total dispatched events, events/sec, the peak
-    number of simultaneously active flows, and the replay fingerprint
-    (which the arbiter comparison checks for drift).  Garbage left by
-    earlier scenarios is collected before the clock starts so successive
-    measurements do not bleed into each other.
+    ``arbiter`` defaults to the config default, so the sweep times the
+    arbiter users get.  Returns wall-clock, total dispatched events,
+    events/sec, the peak number of simultaneously active flows, and the
+    replay fingerprint (which the arbiter comparison checks for drift).
+    Garbage left by earlier scenarios is collected before the clock starts
+    so successive measurements do not bleed into each other.
     """
     deployment = InfiniCacheDeployment(_fleet_config(clients, arbiter, seed))
     seeder = deployment.new_client("perf-seeder")
@@ -354,7 +350,7 @@ def compare_arbiters(
     incremental = macro_closed_loop(clients, arbiter="incremental", **macro_kwargs)
     reference = macro_closed_loop(clients, arbiter="reference", **macro_kwargs)
     identical = incremental.extra["fingerprint"] == reference.extra["fingerprint"]
-    payload = {
+    return {
         "clients": clients,
         "incremental_wall_s": incremental.wall_s,
         "reference_wall_s": reference.wall_s,
@@ -362,16 +358,8 @@ def compare_arbiters(
         "incremental_events_per_s": incremental.events_per_s,
         "reference_events_per_s": reference.events_per_s,
         "fingerprint": incremental.extra["fingerprint"],
+        "fingerprints_identical": identical,
     }
-    if HAVE_NUMPY:
-        vectorized = macro_closed_loop(clients, arbiter="vectorized", **macro_kwargs)
-        identical = identical and (
-            vectorized.extra["fingerprint"] == incremental.extra["fingerprint"]
-        )
-        payload["vectorized_wall_s"] = vectorized.wall_s
-        payload["vectorized_events_per_s"] = vectorized.events_per_s
-    payload["fingerprints_identical"] = identical
-    return payload
 
 
 # ---------------------------------------------------------------------- suite
@@ -448,18 +436,6 @@ def run_suite(
         micro_flow_churn(flows=500 if quick else 2_000, arbiter="incremental"),
         micro_flow_churn(flows=500 if quick else 2_000, arbiter="reference"),
     ]
-    if HAVE_NUMPY:
-        # The default churn geometry (32 hosts / 8 proxies) keeps bottleneck
-        # groups small, where the scalar arbiter's lower constant factor
-        # wins; the batched-settlement payoff appears once a group holds
-        # thousands of flows.  Record both regimes under both arbiters so
-        # the crossover stays a measured fact rather than folklore.
-        dense = dict(flows=300 if quick else 1_000, hosts=2, proxies=1)
-        micro.append(
-            micro_flow_churn(flows=500 if quick else 2_000, arbiter="vectorized")
-        )
-        micro.append(micro_flow_churn(arbiter="incremental", tag="dense", **dense))
-        micro.append(micro_flow_churn(arbiter="vectorized", tag="dense", **dense))
     # The comparison runs before the big sweeps so its timing is not skewed
     # by heap growth from the larger fleets; the micro pass above doubles as
     # cache warm-up (hash-ring points, shared RS matrices).
@@ -542,16 +518,11 @@ def format_report(payload: dict[str, object]) -> str:
     comparison = payload.get("arbiter_comparison")
     if comparison:
         lines.append("")
-        vectorized = (
-            f" (vectorized {comparison['vectorized_wall_s']:.2f}s)"
-            if "vectorized_wall_s" in comparison
-            else ""
-        )
         lines.append(
             f"arbiter comparison at {comparison['clients']} clients: "
             f"incremental {comparison['incremental_wall_s']:.2f}s vs "
             f"reference {comparison['reference_wall_s']:.2f}s "
-            f"-> {comparison['speedup']:.1f}x speedup{vectorized}; "
+            f"-> {comparison['speedup']:.1f}x speedup; "
             "fingerprints "
             + ("identical" if comparison["fingerprints_identical"] else "DIVERGED")
         )

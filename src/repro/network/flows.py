@@ -57,18 +57,8 @@ from repro.network.topology import HostNic, NetworkFabric
 from repro.sim.loop import EventLoop
 from repro.sim.process import SimFuture
 
-try:  # pragma: no cover - exercised via the forced-fallback parametrized test
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without the [perf] extra
-    _np = None  # type: ignore[assignment]
-
-#: Whether the numpy batch-settlement arbiter can be used in this
-#: environment (the ``[perf]`` extra); without it, ``vectorized`` resolves
-#: to the byte-identical scalar incremental arbiter.
-HAVE_NUMPY = _np is not None
-
 #: Valid ``InfiniCacheConfig.flow_arbiter`` names (see :func:`resolve_arbiter`).
-ARBITER_NAMES = ("vectorized", "incremental", "reference")
+ARBITER_NAMES = ("incremental", "reference")
 
 
 def peak_concurrency(intervals: list[tuple[float, float]]) -> int:
@@ -143,7 +133,7 @@ class Flow:
         #: flow down and releases its bandwidth shares.
         self.future: SimFuture = SimFuture(label=f"flow:{label}")
         #: Pending completion: a lazy :class:`~repro.sim.loop.DeadlineTimer`
-        #: under the incremental/vectorized arbiters, a plain eager
+        #: under the incremental arbiter, a plain eager
         #: :class:`~repro.sim.loop.Event` under the reference arbiter (kept
         #: that way as the differential baseline for the lazy mechanism).
         self._completion: Optional[Any] = None
@@ -347,7 +337,6 @@ class FlowNetwork:
         self._active[flow.flow_id] = flow
         self._by_host.setdefault(nic.host_id, {})[flow.flow_id] = flow
         self._by_proxy.setdefault(proxy_id, {})[flow.flow_id] = flow
-        self._on_flow_added(flow)
         if len(self._active) > self._peak_active:
             self._peak_active = len(self._active)
         flow.future.on_cancel(lambda: self.cancel(flow))
@@ -566,12 +555,6 @@ class FlowNetwork:
             self._defer -= 1
         self._transition(flow.nic.host_id, flow.proxy_id)
 
-    def _on_flow_added(self, flow: Flow) -> None:
-        """Subclass hook: ``flow`` just joined the active set and its groups."""
-
-    def _on_flow_removed(self, flow: Flow) -> None:
-        """Subclass hook: ``flow`` just left the active set and its groups."""
-
     def _retire(self, flow: Flow, now: float, completed: bool) -> None:
         del self._active[flow.flow_id]
         host_group = self._by_host.get(flow.nic.host_id)
@@ -584,7 +567,6 @@ class FlowNetwork:
             proxy_group.pop(flow.flow_id, None)
             if not proxy_group:
                 del self._by_proxy[flow.proxy_id]
-        self._on_flow_removed(flow)
         if self._pending:
             self._pending.pop(flow.flow_id, None)
         if flow._completion is not None:
@@ -643,7 +625,7 @@ class ReferenceFlowNetwork(FlowNetwork):
     cancel+reschedule completion events, making it the differential baseline
     for the lazy-deadline timers as well as for the group indexing.  Kept as
     the byte-for-byte reference for the differential tests and as the
-    baseline the perf harness measures the other arbiters against.
+    baseline the perf harness measures the incremental arbiter against.
     """
 
     def _affected_flows(
@@ -667,234 +649,12 @@ class ReferenceFlowNetwork(FlowNetwork):
             )
 
 
-class _SlotGroup:
-    """Contiguous slot-index array for one bottleneck group (numpy arbiter).
-
-    Maintained incrementally — join appends, leave swap-removes — so the
-    gather side of a batched settlement is a ready-made index array instead
-    of a per-transition rebuild.  Order within the array is arbitrary;
-    settlement orders by flow id for deterministic event scheduling.
-    """
-
-    __slots__ = ("slots", "count", "_pos")
-
-    def __init__(self) -> None:
-        self.slots: Any = _np.empty(8, dtype=_np.intp)
-        self.count = 0
-        self._pos: dict[int, int] = {}
-
-    def add(self, slot: int) -> None:
-        if self.count == len(self.slots):
-            grown = _np.empty(2 * len(self.slots), dtype=_np.intp)
-            grown[: self.count] = self.slots
-            self.slots = grown
-        self.slots[self.count] = slot
-        self._pos[slot] = self.count
-        self.count += 1
-
-    def remove(self, slot: int) -> None:
-        index = self._pos.pop(slot)
-        last = self.count - 1
-        if index != last:
-            moved = int(self.slots[last])
-            self.slots[index] = moved
-            self._pos[moved] = index
-        self.count -= 1
-
-    @property
-    def view(self) -> Any:
-        """The live prefix of the slot array."""
-        return self.slots[: self.count]
-
-
-class VectorizedFlowNetwork(FlowNetwork):
-    """Numpy batch-settlement arbiter: flow state lives in contiguous arrays.
-
-    Per-flow state (remaining bytes, rate, last-settle time, bandwidth cap)
-    is mirrored into structure-of-arrays storage indexed by a recycled
-    *slot* per active flow, and every bottleneck group keeps an
-    incrementally maintained slot-index array (:class:`_SlotGroup`).  A
-    transition gathers the touched groups, refreshes their cached fair
-    shares, recomputes rates, settles, and derives finish times as a
-    handful of elementwise numpy kernels; Python is re-entered only for the
-    flows whose rate actually changed (to update their scalar mirrors and
-    re-aim their completion timers).
-
-    Every arithmetic step is the same IEEE-754 double operation the scalar
-    arbiters perform, applied per element, so settled byte counts and
-    finish times — and the replay/golden fingerprints built from them —
-    are byte-identical to the ``incremental`` and ``reference`` arbiters.
-    The :class:`Flow` objects remain the authoritative externally-visible
-    state: their ``remaining``/``rate_bps``/``last_progress_at`` mirrors
-    are written back at exactly the points the scalar arbiters write them.
-
-    Requires numpy (the ``[perf]`` extra); :func:`resolve_arbiter` falls
-    back to the scalar incremental arbiter when it is missing.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        fabric: NetworkFabric,
-        trace_limit: Optional[int] = None,
-    ) -> None:
-        if _np is None:  # pragma: no cover - resolve_arbiter guards this
-            raise SimulationError("the vectorized flow arbiter requires numpy")
-        super().__init__(loop, fabric, trace_limit=trace_limit)
-        capacity = 64
-        self._rem: Any = _np.zeros(capacity)
-        self._rate_arr: Any = _np.zeros(capacity)
-        self._last: Any = _np.zeros(capacity)
-        self._fbw: Any = _np.zeros(capacity)
-        #: Cached fair share of each flow's host NIC / proxy uplink, indexed
-        #: by slot.  A share changes only when its group's occupancy does,
-        #: and every occupancy change dirties that group, so the refresh in
-        #: ``_transition`` keeps these exact without per-flow recomputes.
-        self._hshare: Any = _np.zeros(capacity)
-        self._pshare: Any = _np.zeros(capacity)
-        self._fid: Any = _np.zeros(capacity, dtype=_np.int64)
-        self._slot_flow: list[Optional[Flow]] = [None] * capacity
-        self._slot_of: dict[int, int] = {}
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
-        self._host_groups: dict[str, _SlotGroup] = {}
-        self._proxy_groups: dict[str, _SlotGroup] = {}
-
-    def _grow(self) -> None:
-        old_capacity = len(self._slot_flow)
-        self._rem = _np.concatenate([self._rem, _np.zeros(old_capacity)])
-        self._rate_arr = _np.concatenate([self._rate_arr, _np.zeros(old_capacity)])
-        self._last = _np.concatenate([self._last, _np.zeros(old_capacity)])
-        self._fbw = _np.concatenate([self._fbw, _np.zeros(old_capacity)])
-        self._hshare = _np.concatenate([self._hshare, _np.zeros(old_capacity)])
-        self._pshare = _np.concatenate([self._pshare, _np.zeros(old_capacity)])
-        self._fid = _np.concatenate(
-            [self._fid, _np.zeros(old_capacity, dtype=_np.int64)]
-        )
-        self._slot_flow.extend([None] * old_capacity)
-        self._free.extend(range(2 * old_capacity - 1, old_capacity - 1, -1))
-
-    def _on_flow_added(self, flow: Flow) -> None:
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self._slot_of[flow.flow_id] = slot
-        self._slot_flow[slot] = flow
-        self._rem[slot] = flow.remaining
-        self._rate_arr[slot] = 0.0
-        self._last[slot] = flow.last_progress_at
-        self._fbw[slot] = flow.function_bandwidth_bps
-        self._fid[slot] = flow.flow_id
-        self._host_groups.setdefault(flow.nic.host_id, _SlotGroup()).add(slot)
-        self._proxy_groups.setdefault(flow.proxy_id, _SlotGroup()).add(slot)
-
-    def _on_flow_removed(self, flow: Flow) -> None:
-        slot = self._slot_of.pop(flow.flow_id)
-        self._slot_flow[slot] = None
-        host_group = self._host_groups[flow.nic.host_id]
-        host_group.remove(slot)
-        if not host_group.count:
-            del self._host_groups[flow.nic.host_id]
-        proxy_group = self._proxy_groups[flow.proxy_id]
-        proxy_group.remove(slot)
-        if not proxy_group.count:
-            del self._proxy_groups[flow.proxy_id]
-        self._free.append(slot)
-
-    def _transition(self, host_id: str, proxy_id: str) -> None:
-        if self._defer:
-            self._dirty_hosts[host_id] = None
-            self._dirty_proxies[proxy_id] = None
-            self._reserve_pending()
-            return
-        profile = self.loop._profile
-        if profile is not None:
-            transition_started = perf_counter()  # repro: allow[D102] (profiling meter)
-        now = self.loop.now
-        hosts: dict[str, None] = {host_id: None}
-        proxies: dict[str, None] = {proxy_id: None}
-        if self._dirty_hosts:
-            hosts.update(self._dirty_hosts)
-            self._dirty_hosts.clear()
-        if self._dirty_proxies:
-            proxies.update(self._dirty_proxies)
-            self._dirty_proxies.clear()
-        # Refresh the cached fair shares of every touched group (a C-level
-        # scatter per group) and collect their slot views.
-        views = []
-        fabric_hosts = self.fabric.hosts
-        for touched_host in hosts:
-            host_group = self._host_groups.get(touched_host)
-            if host_group is not None and host_group.count:
-                view = host_group.view
-                self._hshare[view] = fabric_hosts[touched_host].effective_bandwidth()
-                views.append(view)
-        for touched_proxy in proxies:
-            proxy_group = self._proxy_groups.get(touched_proxy)
-            if proxy_group is not None and proxy_group.count:
-                view = proxy_group.view
-                self._pshare[view] = self.fabric.proxy_share(proxy_group.count)
-                views.append(view)
-        if views:
-            slots = views[0] if len(views) == 1 else _np.concatenate(views)
-            # Order by flow id (deduplicating flows present in both a
-            # touched host and a touched proxy group) so completion events
-            # are re-aimed in the same order as the scalar arbiters.
-            slots = slots[_np.unique(self._fid[slots], return_index=True)[1]]
-            new_rates = _np.minimum(
-                self._fbw[slots],
-                _np.minimum(self._hshare[slots], self._pshare[slots]),
-            )
-            changed = new_rates != self._rate_arr[slots]
-            pending = self._pending
-            if pending:
-                # Flows whose rate moved during a deferred cascade and moved
-                # back still owe a re-push under their reserved sequence.
-                changed |= _np.isin(
-                    self._fid[slots],
-                    _np.fromiter(pending.keys(), dtype=_np.int64, count=len(pending)),
-                )
-            if changed.any():
-                idx = slots[changed]
-                rates = new_rates[changed]
-                elapsed = now - self._last[idx]
-                self._rem[idx] = _np.maximum(
-                    0.0, self._rem[idx] - self._rate_arr[idx] * elapsed
-                )
-                self._last[idx] = now
-                self._rate_arr[idx] = rates
-                finishes = now + self._rem[idx] / rates
-                slot_flow = self._slot_flow
-                for slot, remaining, rate, finish in zip(
-                    idx.tolist(),
-                    self._rem[idx].tolist(),
-                    rates.tolist(),
-                    finishes.tolist(),
-                ):
-                    flow = slot_flow[slot]
-                    assert flow is not None
-                    flow.remaining = remaining
-                    flow.rate_bps = rate
-                    flow.last_progress_at = now
-                    entry = pending.pop(flow.flow_id, None) if pending else None
-                    self._aim(flow, finish, entry[1] if entry is not None else None)
-        if profile is not None:
-            profile.arbiter_transitions += 1
-            profile.arbiter_s += perf_counter() - transition_started  # repro: allow[D102] (profiling meter)
-
-
 def resolve_arbiter(name: str) -> type[FlowNetwork]:
-    """Map an ``InfiniCacheConfig.flow_arbiter`` name to an arbiter class.
-
-    ``vectorized`` resolves to the scalar incremental arbiter when numpy is
-    not installed — the two are byte-identical, so environments without the
-    ``[perf]`` extra run every experiment unchanged, just slower.
-    """
+    """Map an ``InfiniCacheConfig.flow_arbiter`` name to an arbiter class."""
+    if name == "incremental":
+        return FlowNetwork
     if name == "reference":
         return ReferenceFlowNetwork
-    if name == "vectorized" and HAVE_NUMPY:
-        return VectorizedFlowNetwork
-    if name in ("incremental", "vectorized"):
-        return FlowNetwork
     raise SimulationError(
         f"unknown flow arbiter {name!r} (expected one of {ARBITER_NAMES})"
     )

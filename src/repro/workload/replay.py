@@ -460,6 +460,7 @@ class _EventDriver:
         "proxy.degraded_fallbacks",
         "proxy.put_failures",
         "proxy.repair_faults",
+        "proxy.warmup_faults",
         "faas.injected_faults",
         "faas.reclaims",
         "backup.interrupted_rounds",

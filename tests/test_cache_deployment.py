@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.config import InfiniCacheConfig, StragglerModel
 from repro.cache.deployment import InfiniCacheDeployment
+from repro.exceptions import ConfigurationError
 from repro.faas.reclamation import IdleTimeoutPolicy, PoissonReclamationPolicy
 from repro.utils.rng import SeededRNG
 from repro.utils.units import HOUR, MB, MIB, MINUTE
@@ -155,35 +156,25 @@ class TestCostAccounting:
 
 
 class TestArbiterSelection:
-    """``config.flow_arbiter`` picks the flow network; numpy is optional.
+    """``config.flow_arbiter`` picks the flow network."""
 
-    The default config says ``"vectorized"``; deployments built without the
-    ``[perf]`` extra must transparently get the byte-identical scalar
-    arbiter — same API, same simulation — instead of an import error.
-    """
+    def test_default_config_builds_incremental_network(self):
+        from repro.network.flows import FlowNetwork
 
-    @pytest.mark.parametrize("have_numpy", [True, False])
-    def test_default_config_builds_with_and_without_numpy(self, have_numpy, monkeypatch):
-        import repro.network.flows as flows_module
-        from repro.network.flows import HAVE_NUMPY, FlowNetwork, VectorizedFlowNetwork
-
-        if have_numpy and not HAVE_NUMPY:
-            pytest.skip("numpy is not installed")
-        monkeypatch.setattr(flows_module, "HAVE_NUMPY", have_numpy)
         deployment = InfiniCacheDeployment(make_config())
-        assert deployment.config.flow_arbiter == "vectorized"
-        expected = VectorizedFlowNetwork if have_numpy else FlowNetwork
-        assert type(deployment.flows) is expected
-        # The deployment serves traffic identically either way.
-        client = deployment.new_client("fallback-probe")
+        assert deployment.config.flow_arbiter == "incremental"
+        assert type(deployment.flows) is FlowNetwork
+        client = deployment.new_client("default-probe")
         client.put_sized("probe/key", 2 * MB)
-        result = client.get("probe/key")
-        assert result.hit
+        assert client.get("probe/key").hit
 
     def test_explicit_scalar_arbiters_are_honoured(self):
-        from repro.network.flows import FlowNetwork, ReferenceFlowNetwork
+        from repro.network.flows import ReferenceFlowNetwork
 
-        incremental = InfiniCacheDeployment(make_config(flow_arbiter="incremental"))
-        assert type(incremental.flows) is FlowNetwork
         reference = InfiniCacheDeployment(make_config(flow_arbiter="reference"))
         assert type(reference.flows) is ReferenceFlowNetwork
+
+    def test_vectorized_is_rejected(self):
+        # A retired arbiter name must fail loudly, not alias another arbiter.
+        with pytest.raises(ConfigurationError):
+            make_config(flow_arbiter="vectorized")

@@ -472,3 +472,21 @@ class TestBackupUnderFaults:
         reports = manager.backup_all(now=240.0)
         assert any(report.performed and report.delta_chunks > 0
                    for report in reports)
+
+
+# --------------------------------------------------------------------------- warm-up under faults
+class TestWarmupUnderFaults:
+    def test_fault_window_over_warmup_tick_skips_nodes(self):
+        # The window covers the 60 s warm-up tick; injected invocation
+        # faults used to escape the warm-up round and abort the replay.
+        result = run_chaos_scenario(schedule=FaultSchedule((
+            InvocationFaults(at_s=50.0, duration_s=20.0, failure_probability=0.3),
+        )))
+        assert result.replay.requests == 6 * 70
+        assert result.resilience.counters["proxy.warmup_faults"] > 0
+
+    def test_fault_free_run_registers_no_warmup_fault_counter(self):
+        # The full-length replay spans several warm-up ticks.
+        result = run_chaos_scenario(schedule=FaultSchedule(()))
+        assert result.replay.duration_s > 120.0
+        assert "proxy.warmup_faults" not in result.replay.resilience

@@ -13,27 +13,12 @@ import random
 
 import pytest
 
-import repro.network.flows as flows_module
 from repro.exceptions import SimulationError
-from repro.network.flows import (
-    HAVE_NUMPY,
-    FlowNetwork,
-    ReferenceFlowNetwork,
-    VectorizedFlowNetwork,
-    resolve_arbiter,
-)
+from repro.network.flows import FlowNetwork, ReferenceFlowNetwork, resolve_arbiter
 from repro.network.topology import NetworkFabric
 from repro.sim import EventLoop, first_n
 
 MB = 1_000_000.0
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy is not installed")
-
-#: The two fast arbiters, each pinned against the reference sweep below.
-FAST_ARBITERS = [
-    pytest.param(FlowNetwork, id="incremental"),
-    pytest.param(VectorizedFlowNetwork, id="vectorized", marks=requires_numpy),
-]
 
 
 def make_network(proxy_uplink_bps: float = 10_000 * MB) -> tuple[EventLoop, FlowNetwork]:
@@ -257,9 +242,9 @@ def _drive(network_cls, seed: int):
 
 
 class TestIncrementalMatchesReference:
-    """The tentpole's correctness pin: all arbiters are byte-identical."""
+    """The correctness pin: the incremental arbiter is byte-identical."""
 
-    @pytest.mark.parametrize("network_cls", FAST_ARBITERS)
+    @pytest.mark.parametrize("network_cls", [pytest.param(FlowNetwork, id="incremental")])
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2020, 31337])
     def test_differential_random_schedules(self, network_cls, seed):
         incremental, inc_loop = _drive(network_cls, seed)
@@ -437,33 +422,17 @@ class TestQuorumTieOrder:
         ends = {end for _, _, end in expected}
         assert len(ends) == 1  # a genuine tie: every interval ends together
         assert self._drive_quorum(FlowNetwork) == expected
-        if HAVE_NUMPY:
-            assert self._drive_quorum(VectorizedFlowNetwork) == expected
 
 
 class TestArbiterResolution:
-    """``resolve_arbiter`` and the numpy fallback for the vectorized path."""
+    """``resolve_arbiter`` maps config names to arbiter classes."""
 
     def test_scalar_names_resolve(self):
         assert resolve_arbiter("incremental") is FlowNetwork
         assert resolve_arbiter("reference") is ReferenceFlowNetwork
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(SimulationError):
-            resolve_arbiter("quantum")
-
-    @requires_numpy
-    def test_vectorized_resolves_when_numpy_present(self):
-        assert resolve_arbiter("vectorized") is VectorizedFlowNetwork
-
-    def test_vectorized_falls_back_to_incremental_without_numpy(self, monkeypatch):
-        # Environments without the ``[perf]`` extra still accept the default
-        # ``flow_arbiter="vectorized"`` config; they get the byte-identical
-        # scalar arbiter instead of an import error.
-        monkeypatch.setattr(flows_module, "HAVE_NUMPY", False)
-        assert resolve_arbiter("vectorized") is FlowNetwork
-
-    def test_vectorized_class_itself_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(flows_module, "_np", None)
-        with pytest.raises(SimulationError):
-            VectorizedFlowNetwork(EventLoop(), NetworkFabric(proxy_uplink_bps=100 * MB))
+        # ``vectorized`` is a retired name and must not alias another arbiter.
+        for name in ("quantum", "vectorized"):
+            with pytest.raises(SimulationError):
+                resolve_arbiter(name)
