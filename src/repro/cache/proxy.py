@@ -41,7 +41,7 @@ from repro.exceptions import (
 )
 from repro.faas.platform import FaaSPlatform
 from repro.network.transfer import TransferModel
-from repro.sim.process import SimFuture, all_of, first_n
+from repro.sim.process import Process, SimFuture, all_of, first_n
 from repro.simulation.metrics import MetricRegistry
 from repro.utils.rng import SeededRNG
 
@@ -75,10 +75,11 @@ class ProxyGetResult:
     chunks_lost: int = 0
     recovery_performed: bool = False
     hosts_touched: int = 0
-    #: Hardened path only: fewer than ``data_shards`` chunks were *reachable*
-    #: after retries and hedging, but the mapping table still holds the
-    #: object — the caller serves the request from the backing store (a
-    #: degraded hit, not a miss) and the failure detector heals the stripe.
+    #: Event-driven path only: fewer than ``data_shards`` chunks were
+    #: *reachable* after any retries and hedging, but the mapping table
+    #: still holds the object — the caller serves the request from the
+    #: backing store (a degraded hit, not a miss) and the failure detector
+    #: heals the stripe.
     degraded: bool = False
 
     @property
@@ -96,9 +97,10 @@ class ProxyPutResult:
     node_ids: list[str]
     evicted_keys: list[str] = field(default_factory=list)
     hosts_touched: int = 0
-    #: Hardened path only: ``False`` when at least one chunk store exhausted
-    #: its retries, in which case the partial object was rolled back out of
-    #: the mapping table (the caller may re-try the PUT later).
+    #: Event-driven path only: ``False`` when at least one chunk store
+    #: failed (after any retries), in which case the partial object was
+    #: rolled back out of the mapping table (the caller may re-try the PUT
+    #: later).
     complete: bool = True
 
 
@@ -108,6 +110,10 @@ class _ObjectEntry:
     #: chunk index -> node id
     placement: dict[int, str]
     inserted_at: float
+    #: Set while the PUT that inserted this entry still has chunk stores in
+    #: flight: a chunk missing from its node then means "not landed yet",
+    #: not "lost", so repair must leave the stripe alone until the PUT ends.
+    storing: bool = False
 
 
 class Proxy:
@@ -128,9 +134,19 @@ class Proxy:
         self.transfer_model = transfer_model
         self.rng = rng
         self.metrics = metrics or MetricRegistry()
-        #: Request-path hardening knobs; the all-defaults config keeps every
-        #: feature off and the proxy on the original un-instrumented path.
+        #: Request-path hardening knobs; ``None`` means the all-defaults
+        #: config: one attempt per chunk, no deadline, no breaker, degraded
+        #: fallback on.  Every request takes the same coroutine either way.
         self.resilience = config.resilience or ResilienceConfig()
+        #: One chunk transfer, as a coroutine resolving ``True`` or ``False``:
+        #: under the retry/deadline supervisor only when a retry policy or a
+        #: chunk deadline gives it something to do.
+        self._chunk_process = (
+            self._chunk_supervisor_process
+            if self.resilience.retry is not None
+            or self.resilience.chunk_timeout_s is not None
+            else self._chunk_transfer_process
+        )
         #: Chaos-engine override of the configured straggler model during a
         #: straggler-inflation fault window; ``None`` outside windows.
         self.straggler_override: Optional[StragglerModel] = None
@@ -434,9 +450,10 @@ class Proxy:
         repaired = lost = 0
         for key in list(self._objects):
             entry = self._objects.get(key)
-            if entry is None:
+            if entry is None or entry.storing:
                 # Dropped by a reclaim listener while an earlier repair in
-                # this same sweep cold-started a replacement node.
+                # this same sweep cold-started a replacement node, or still
+                # being stored (its missing chunks have not landed yet).
                 continue
             missing = [
                 ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=None,
@@ -580,16 +597,18 @@ class Proxy:
         return existed
 
     # ------------------------------------------------------------------ PUT
-    def put(
+    def _prepare_put(
         self,
         key: str,
         descriptor: ObjectDescriptor,
         chunks: list[CacheChunk],
-        now: float,
-        placement: Optional[list[str]] = None,
-        category: str = "serving",
-    ) -> ProxyPutResult:
-        """Store an object's chunks on the pool and record the placement."""
+        placement: Optional[list[str]],
+    ) -> tuple[list[str], list[str]]:
+        """Validate a PUT, pick its placement, drop the previous version of
+        the object, and evict until the new chunks fit.
+
+        Returns ``(placement, evicted_keys)``.
+        """
         if len(chunks) != descriptor.total_chunks:
             raise CacheError(
                 f"object {key!r} descriptor expects {descriptor.total_chunks} chunks, "
@@ -604,11 +623,23 @@ class Proxy:
 
         # Overwrite: drop the previous version first (write-through semantics).
         self._remove_object(key)
-
         needed_by_node = {
             node_id: chunk.size for node_id, chunk in zip(placement, chunks)
         }
         evicted = self._evict_until_fits(needed_by_node, sum(needed_by_node.values()))
+        return placement, evicted
+
+    def put(
+        self,
+        key: str,
+        descriptor: ObjectDescriptor,
+        chunks: list[CacheChunk],
+        now: float,
+        placement: Optional[list[str]] = None,
+        category: str = "serving",
+    ) -> ProxyPutResult:
+        """Store an object's chunks on the pool and record the placement."""
+        placement, evicted = self._prepare_put(key, descriptor, chunks, placement)
 
         target_nodes = [self.node(node_id) for node_id in placement]
         flows = self._flows_per_host(target_nodes)
@@ -728,7 +759,6 @@ class Proxy:
         key: str,
         chunk_index: int,
         chunk: CacheChunk,
-        effective_bytes: float,
         node: LambdaCacheNode,
         env: RequestEnv,
         owner: Optional[str],
@@ -737,80 +767,273 @@ class Proxy:
         store: bool = False,
         span_parent=None,
     ):
-        """Coroutine moving one chunk between a node and this proxy.
+        """One attempt to move a chunk between a node and this proxy;
+        resolves ``True`` once the chunk has landed.
 
-        Invokes the node (opening its billed session), waits out the
-        invocation overhead and network latency, then streams the bytes as a
-        flow whose bandwidth share is recomputed as other flows come and go.
-        If the process is cancelled mid-flow (an abandoned straggler fetch),
-        the ``finally`` block still bills the partial transfer the Lambda
-        actually performed.
+        The node's circuit breaker (when installed) gates the attempt.  The
+        node is invoked (opening its billed session), the invocation
+        overhead and network latency pass, then the bytes, stretched by one
+        straggler and one jitter draw, stream as a flow sharing bandwidth
+        with the flows around it.  If the process is cancelled mid-flow (an
+        abandoned straggler fetch), the ``finally`` block still bills the
+        partial transfer the Lambda performed.  A transient failure resolves
+        ``False`` instead of raising: an exception out of a spawned process
+        would escape into the event loop and abort the whole run.
         """
+        breaker = node.breaker
+        if breaker is not None and not breaker.allow(env.now):
+            self.metrics.counter("proxy.breaker_rejections").increment()
+            return False
+        effective_bytes = (
+            chunk.size * self._straggler_factor() * self.transfer_model.draw_jitter()
+        )
         arrival = env.now
         tracer = env.tracer
         span = tracer.begin("chunk.store" if store else "chunk.fetch", span_parent,
                             chunk=chunk_index, node=node.node_id)
-        access = node.ensure_active(arrival, category)
-        if store:
-            node.store_chunk(chunk)
-        env.begin_transfer(node)
-        env.watch_session(node)
-        latency = self.transfer_model.base_latency_s
-        preamble = access.overhead_s + latency
-        flow = None
         try:
-            if preamble > 0:
-                invoke_span = tracer.begin("lambda.invoke", span, node=node.node_id,
-                                           cold=access.cold_start)
-                try:
-                    yield preamble
-                finally:
-                    tracer.finish(invoke_span)
-            host_id = node.primary.host_id if node.primary is not None else node.node_id
-            flow = env.flows.transfer(
-                size_bytes=effective_bytes,
-                function_bandwidth_bps=node.bandwidth_bps,
-                host_id=host_id,
-                host_capacity_bps=self.platform.limits.host_nic_bandwidth,
-                proxy_id=self.proxy_id,
-                label=f"{self.proxy_id}:{category}:{key}#{chunk_index}",
-            )
-            if span.recording:
-                flow.parent_span = span
-            yield flow.future
-        finally:
-            # Runs on completion *and* on abandonment (generator close): the
-            # node is billed for the work it actually performed either way.
-            # The busy interval is anchored to *end now* — anchoring it at
-            # arrival would let the billing window lapse mid-flight when the
-            # preamble includes a cold start.
-            if flow is not None:
-                service = latency + (env.now - flow.started_at)
-            else:
-                service = env.now - arrival
-            env.end_transfer(node)
-            node.record_service(env.now - service, service, category, owner)
+            access = node.ensure_active(arrival, category)
+            if store:
+                node.store_chunk(chunk)
+            env.begin_transfer(node)
             env.watch_session(node)
-            if fetch is not None:
-                fetch.time_s = env.now - arrival
-            if span.recording and fetch is not None:
-                span.annotate(abandoned=fetch.abandoned)
-            tracer.finish(span)
-        return fetch
+            latency = self.transfer_model.base_latency_s
+            preamble = access.overhead_s + latency
+            flow = None
+            try:
+                if preamble > 0:
+                    invoke_span = tracer.begin("lambda.invoke", span, node=node.node_id,
+                                               cold=access.cold_start)
+                    try:
+                        yield preamble
+                    finally:
+                        tracer.finish(invoke_span)
+                host_id = node.primary.host_id if node.primary is not None else node.node_id
+                flow = env.flows.transfer(
+                    size_bytes=effective_bytes,
+                    function_bandwidth_bps=node.bandwidth_bps,
+                    host_id=host_id,
+                    host_capacity_bps=self.platform.limits.host_nic_bandwidth,
+                    proxy_id=self.proxy_id,
+                    label=f"{self.proxy_id}:{category}:{key}#{chunk_index}",
+                )
+                if span.recording:
+                    flow.parent_span = span
+                yield flow.future
+            finally:
+                # Runs on completion *and* on abandonment (generator close):
+                # the node is billed for the work it actually performed
+                # either way.  The busy interval is anchored to *end now* —
+                # anchoring it at arrival would let the billing window lapse
+                # mid-flight when the preamble includes a cold start.
+                if flow is not None:
+                    service = latency + (env.now - flow.started_at)
+                else:
+                    service = env.now - arrival
+                env.end_transfer(node)
+                node.record_service(env.now - service, service, category, owner)
+                env.watch_session(node)
+                if fetch is not None:
+                    fetch.time_s = env.now - arrival
+                if span.recording and fetch is not None:
+                    span.annotate(abandoned=fetch.abandoned)
+                tracer.finish(span)
+        except TransientFaultError:
+            if breaker is not None:
+                breaker.record_failure(env.now)
+            self.metrics.counter("proxy.chunk_faults").increment()
+            return False
+        if breaker is not None:
+            breaker.record_success(env.now)
+        return True
+
+    def _chunk_supervisor_process(
+        self,
+        key: str,
+        chunk_index: int,
+        chunk: CacheChunk,
+        node: LambdaCacheNode,
+        env: RequestEnv,
+        owner: Optional[str],
+        category: str,
+        fetch: Optional[ChunkFetch] = None,
+        store: bool = False,
+        span_parent=None,
+    ):
+        """Retry/timeout/hedge harness around one chunk's transfer attempts.
+
+        Per attempt: without a chunk deadline the attempt runs inline;
+        with one, the attempt races the deadline, and on expiry one *hedged*
+        second attempt is spawned and whichever settles first wins.  Between
+        attempts sleep an exponential backoff stretched by seeded jitter
+        (drawn from the dedicated retry stream only when a retry actually
+        fires).  Resolves ``True`` once an attempt lands the chunk, ``False``
+        when the budget is exhausted; never raises.  Cancellation (straggler
+        abandonment by the first-d quorum) propagates to the in-flight
+        attempt, whose ``finally`` block bills the partial transfer as usual.
+        """
+        policy = self.resilience.retry
+        timeout_s = self.resilience.chunk_timeout_s
+        max_attempts = policy.max_attempts if policy is not None else 1
+        task = hedge = None
+        timer: Optional[SimFuture] = None
+        try:
+            for attempt in range(max_attempts):
+                if attempt > 0:
+                    backoff = (
+                        policy.base_backoff_s
+                        * policy.backoff_multiplier ** (attempt - 1)
+                        * (1.0 + policy.jitter_fraction * self._retry_rng.random())
+                    )
+                    self.metrics.counter("proxy.chunk_retries").increment()
+                    yield backoff
+                if timeout_s is None:
+                    # No deadline to race: the attempt needs no process of
+                    # its own.
+                    succeeded = yield from self._chunk_transfer_process(
+                        key, chunk_index, chunk, node, env, owner, category,
+                        fetch=fetch, store=store, span_parent=span_parent,
+                    )
+                    if succeeded:
+                        return True
+                    continue
+                hedge = None
+                task = env.loop.spawn(
+                    self._chunk_transfer_process(
+                        key, chunk_index, chunk, node, env, owner, category,
+                        fetch=fetch, store=store, span_parent=span_parent,
+                    ),
+                    label=f"{self.proxy_id}:attempt{attempt}:{key}#{chunk_index}",
+                )
+                timer = env.loop.timeout(
+                    timeout_s, label=f"{self.proxy_id}:deadline:{key}#{chunk_index}"
+                )
+                yield first_n(
+                    1, [task.future, timer],
+                    label=f"{self.proxy_id}:race:{key}#{chunk_index}",
+                )
+                if task.done:
+                    timer.cancel()
+                    succeeded = task.future.result
+                else:
+                    # Deadline passed: hedge a second attempt against the
+                    # original, under a second deadline of its own — if
+                    # neither lands (the node's link is blackholed, say) the
+                    # attempt pair counts as failed and the backoff/retry
+                    # loop takes over instead of stalling until the fault
+                    # clears.
+                    self.metrics.counter("proxy.chunk_hedges").increment()
+                    hedge = env.loop.spawn(
+                        self._chunk_transfer_process(
+                            key, chunk_index, chunk, node, env, owner,
+                            category, store=store, span_parent=span_parent,
+                        ),
+                        label=f"{self.proxy_id}:hedge{attempt}:{key}#{chunk_index}",
+                    )
+                    timer = env.loop.timeout(
+                        timeout_s,
+                        label=f"{self.proxy_id}:hedge_deadline:{key}#{chunk_index}",
+                    )
+                    yield first_n(
+                        1, [task.future, hedge.future, timer],
+                        label=f"{self.proxy_id}:hedge_race:{key}#{chunk_index}",
+                    )
+                    if task.done or hedge.done:
+                        timer.cancel()
+                        winner, loser = (task, hedge) if task.done else (hedge, task)
+                        succeeded = bool(winner.future.result)
+                        loser.cancel()
+                    else:
+                        task.cancel()
+                        hedge.cancel()
+                        succeeded = False
+                if succeeded:
+                    return True
+            return False
+        finally:
+            for running in (task, hedge):
+                if running is not None and not running.done:
+                    running.cancel()
+            if timer is not None and not timer.done:
+                timer.cancel()
+
+    def _chunk_quorum(
+        self,
+        tasks: list[Process],
+        pending: list[tuple[ChunkFetch, LambdaCacheNode]],
+        needed: int,
+        label: str,
+    ) -> SimFuture:
+        """A future resolving with the first ``needed`` winning fetches, or
+        ``None`` as soon as reaching the quorum becomes impossible.
+
+        ``first_n`` cannot express this: a failed transfer *resolves* (with
+        ``False``) rather than cancelling, so counting resolutions would
+        declare victory on failures.
+        """
+        quorum = SimFuture(label=label)
+        fetch_of = {task.future: fetch for task, (fetch, _node) in zip(tasks, pending)}
+        winners: list[ChunkFetch] = []
+        failures = 0
+        total = len(tasks)
+
+        def on_done(future: SimFuture) -> None:
+            nonlocal failures
+            if quorum.done:
+                return
+            if not future.cancelled and future.result:
+                winners.append(fetch_of[future])
+                if len(winners) >= needed:
+                    quorum.resolve(winners)
+            else:
+                failures += 1
+                if total - failures < needed:
+                    quorum.resolve(None)
+
+        for future in fetch_of:
+            future.add_done_callback(on_done)
+        return quorum
+
+    def _lost_get(
+        self,
+        key: str,
+        entry: _ObjectEntry,
+        fetches: list[ChunkFetch],
+        lost_count: int,
+        hosts_touched: int,
+    ) -> ProxyGetResult:
+        """Drop an unrecoverable object and report the GET as a miss.
+
+        An overwrite may have replaced the entry while the GET's chunks were
+        in flight; only the version the GET read is dropped.
+        """
+        if self._objects.get(key) is entry:
+            self._remove_object(key)
+        self.metrics.counter("proxy.object_losses").increment()
+        self.metrics.counter("proxy.misses").increment()
+        return ProxyGetResult(
+            key=key,
+            found=True,
+            recoverable=False,
+            descriptor=entry.descriptor,
+            fetches=fetches,
+            chunks_lost=lost_count,
+            hosts_touched=hosts_touched,
+        )
 
     def get_process(self, key: str, env: RequestEnv, span=None):
         """Event-driven GET coroutine: the d-of-n chunk fetches genuinely race.
 
-        Matches :meth:`get` for hits, misses, and degraded reads, with two
-        refinements only the event engine can express: concurrent chunk
-        flows share bandwidth dynamically while in flight, and once the
-        fastest ``data_shards`` chunks have landed the stragglers are
-        *abandoned* (billed for their partial transfer), as in the paper's
-        first-d streaming.
+        Matches :meth:`get` for hits, misses, and degraded reads, except
+        that concurrent chunk flows share bandwidth dynamically while in
+        flight, and once the fastest ``data_shards`` chunks have landed the
+        stragglers are *abandoned* (billed for their partial transfer), as
+        in the paper's first-d streaming.  A fetch that fails transiently
+        (after the configured retries, if any) counts against the quorum; a
+        GET that cannot reach ``data_shards`` chunks reports a degraded
+        result (mapping left intact for the failure detector) unless
+        degraded fallback is switched off.
         """
-        if self.resilience.hardened:
-            result = yield from self._get_process_hardened(key, env, span)
-            return result
         start = env.now
         tracer = env.tracer
         op_span = tracer.begin("proxy.get", span, proxy=self.proxy_id, key=key)
@@ -845,54 +1068,62 @@ class Proxy:
         hosts_touched = self._hosts_touched(involved_nodes)
 
         if len(pending) < descriptor.data_shards:
-            # Unrecoverable: no transfer is even attempted (the mapping table
-            # already knows); the caller must RESET from the backing store.
-            self._remove_object(key)
-            self.metrics.counter("proxy.object_losses").increment()
-            self.metrics.counter("proxy.misses").increment()
+            # More than ``p`` chunks already gone from the mapping: no
+            # transfer is even attempted; the caller must RESET from the
+            # backing store.
             tracer.finish(op_span, outcome="lost")
-            return ProxyGetResult(
-                key=key,
-                found=True,
-                recoverable=False,
-                descriptor=descriptor,
-                fetches=fetches,
-                chunks_lost=lost_count,
-                hosts_touched=hosts_touched,
-            )
+            return self._lost_get(key, entry, fetches, lost_count, hosts_touched)
 
-        tasks = []
-        for fetch, node in pending:
-            effective = (
-                fetch.chunk.size
-                * self._straggler_factor()
-                * self.transfer_model.draw_jitter()
-            )
-            tasks.append(env.loop.spawn(
-                self._chunk_transfer_process(
-                    key, fetch.chunk_index, fetch.chunk, effective, node, env,
-                    owner, "serving", fetch=fetch, span_parent=op_span,
-                ),
+        tasks = [
+            env.loop.spawn(
+                self._chunk_process(key, fetch.chunk_index, fetch.chunk, node, env,
+                                    owner, "serving", fetch=fetch, span_parent=op_span),
                 label=f"{self.proxy_id}:fetch:{key}#{fetch.chunk_index}",
-            ))
-
+            )
+            for fetch, node in pending
+        ]
         # First-d: the request completes when the fastest d chunks are in.
-        winners = yield first_n(
-            descriptor.data_shards, [task.future for task in tasks],
-            label=f"{self.proxy_id}:first_d:{key}",
+        winners = yield self._chunk_quorum(
+            tasks, pending, descriptor.data_shards, label=f"{self.proxy_id}:quorum:{key}"
         )
         latency = env.now - start
-        for (fetch, _node), task in zip(pending, tasks):
+        for task, (fetch, _node) in zip(tasks, pending):
             if not task.done:
                 fetch.abandoned = True
                 task.cancel()
-        used_chunks = [fetch.chunk for fetch in winners]
 
+        if winners is None:
+            # Fewer than d chunks reachable after retries and hedging.
+            self.metrics.counter("proxy.degraded_fallbacks").increment()
+            if not self.resilience.degraded_fallback:
+                tracer.finish(op_span, outcome="lost")
+                return self._lost_get(key, entry, fetches, lost_count, hosts_touched)
+            tracer.finish(op_span, outcome="degraded")
+            return ProxyGetResult(
+                key=key,
+                found=True,
+                recoverable=True,
+                descriptor=descriptor,
+                fetches=fetches,
+                latency_s=latency,
+                chunks_lost=lost_count,
+                hosts_touched=hosts_touched,
+                degraded=True,
+            )
+
+        used_chunks = [fetch.chunk for fetch in winners]
         recovery_performed = False
         if lost_count > 0:
             self.metrics.counter("proxy.degraded_reads").increment()
-            if self.config.repair_degraded_objects:
-                recovery_performed = self._repair_object(key, entry, fetches, env.now)
+            # An overwrite may have replaced the entry while the chunks were
+            # in flight; only the current version may be repaired.
+            if self.config.repair_degraded_objects and self._objects.get(key) is entry:
+                try:
+                    recovery_performed = self._repair_object(key, entry, fetches, env.now)
+                except TransientFaultError:
+                    # A repair node faulted mid-repair; the stripe keeps its
+                    # stale placement and the next audit sweep re-detects it.
+                    self.metrics.counter("proxy.repair_faults").increment()
 
         self.metrics.counter("proxy.hits").increment()
         tracer.finish(op_span, outcome="hit", chunks_lost=lost_count)
@@ -923,459 +1154,31 @@ class Proxy:
 
         Chunks are reserved on their nodes at arrival (so racing requests
         cannot oversubscribe a node's memory) and the coroutine completes
-        when the slowest upload lands.
+        when the slowest upload lands.  A chunk store that fails (after the
+        configured retries, if any) rolls the partial object back out of the
+        mapping table and flags the result ``complete=False`` instead of
+        raising into the driver.
         """
-        if self.resilience.hardened:
-            result = yield from self._put_process_hardened(
-                key, descriptor, chunks, env, placement, category, span
-            )
-            return result
-        if len(chunks) != descriptor.total_chunks:
-            raise CacheError(
-                f"object {key!r} descriptor expects {descriptor.total_chunks} chunks, "
-                f"got {len(chunks)}"
-            )
-        if placement is None:
-            placement = self.choose_placement(descriptor.total_chunks)
-        if len(placement) != descriptor.total_chunks:
-            raise CacheError("placement vector length does not match the chunk count")
-        if len(set(placement)) != len(placement):
-            raise CacheError("placement vector must name distinct nodes")
-
+        placement, evicted = self._prepare_put(key, descriptor, chunks, placement)
         start = env.now
         tracer = env.tracer
         op_span = tracer.begin("proxy.put", span, proxy=self.proxy_id, key=key,
                                category=category)
-        # Overwrite: drop the previous version first (write-through semantics).
-        self._remove_object(key)
-        needed_by_node = {
-            node_id: chunk.size for node_id, chunk in zip(placement, chunks)
-        }
-        evicted = self._evict_until_fits(needed_by_node, sum(needed_by_node.values()))
-
         target_nodes = [self.node(node_id) for node_id in placement]
         owner = owner_of(key)
-        tasks = []
-        for chunk, node in zip(chunks, target_nodes):
-            effective = (
-                chunk.size * self._straggler_factor() * self.transfer_model.draw_jitter()
-            )
-            tasks.append(env.loop.spawn(
-                self._chunk_transfer_process(
-                    key, chunk.index, chunk, effective, node, env,
-                    owner, category, store=True, span_parent=op_span,
-                ),
+        tasks = [
+            env.loop.spawn(
+                self._chunk_process(key, chunk.index, chunk, node, env, owner, category,
+                                    store=True, span_parent=op_span),
                 label=f"{self.proxy_id}:store:{key}#{chunk.index}",
-            ))
-
+            )
+            for chunk, node in zip(chunks, target_nodes)
+        ]
         entry = _ObjectEntry(
             descriptor=descriptor,
             placement={chunk.index: node_id for chunk, node_id in zip(chunks, placement)},
             inserted_at=start,
-        )
-        self._objects[key] = entry
-        self._lru.insert(key, descriptor.stored_bytes)
-
-        yield all_of([task.future for task in tasks], label=f"{self.proxy_id}:put:{key}")
-
-        if category == "serving":
-            self.requests_served += 1
-            self.metrics.counter("proxy.puts").increment()
-        else:
-            self.metrics.counter(f"proxy.{category}_puts").increment()
-        self.metrics.gauge("proxy.bytes_used").set(self.pool_bytes_used())
-
-        tracer.finish(op_span)
-        return ProxyPutResult(
-            key=key,
-            latency_s=env.now - start,
-            node_ids=list(placement),
-            evicted_keys=evicted,
-            hosts_touched=self._hosts_touched(target_nodes),
-        )
-
-    # ------------------------------------------------------------------ hardened path
-    #
-    # The methods below are taken only when ``config.resilience`` switches a
-    # hardening feature on (chaos scenarios).  The un-hardened coroutines
-    # above stay byte-for-byte on their original event/RNG sequence, which is
-    # what keeps the committed golden figure fingerprints stable.
-
-    def _attempt_chunk_process(
-        self,
-        key: str,
-        chunk_index: int,
-        chunk: CacheChunk,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        fetch: Optional[ChunkFetch] = None,
-        store: bool = False,
-        span_parent=None,
-    ):
-        """One guarded transfer attempt: resolves ``True`` on success.
-
-        Transient failures (injected invocation faults, reclaimed-mid-flight)
-        resolve ``False`` instead of raising — an exception out of a spawned
-        process would escape into the event loop's callback chain and abort
-        the whole run.  The node's circuit breaker (when installed) gates the
-        attempt and records the outcome.
-        """
-        breaker = node.breaker
-        if breaker is not None and not breaker.allow(env.now):
-            self.metrics.counter("proxy.breaker_rejections").increment()
-            return False
-        effective = (
-            chunk.size * self._straggler_factor() * self.transfer_model.draw_jitter()
-        )
-        try:
-            yield from self._chunk_transfer_process(
-                key, chunk_index, chunk, effective, node, env, owner, category,
-                fetch=fetch, store=store, span_parent=span_parent,
-            )
-        except TransientFaultError:
-            if breaker is not None:
-                breaker.record_failure(env.now)
-            self.metrics.counter("proxy.chunk_faults").increment()
-            return False
-        if breaker is not None:
-            breaker.record_success(env.now)
-        return True
-
-    def _chunk_supervisor_process(
-        self,
-        key: str,
-        chunk_index: int,
-        chunk: CacheChunk,
-        node: LambdaCacheNode,
-        env: RequestEnv,
-        owner: Optional[str],
-        category: str,
-        fetch: Optional[ChunkFetch] = None,
-        store: bool = False,
-        span_parent=None,
-    ):
-        """Retry/timeout/hedge harness around one chunk's transfer attempts.
-
-        Per attempt: race the transfer against the configured chunk deadline;
-        on deadline expiry spawn one *hedged* second attempt and take
-        whichever settles first.  Between attempts sleep an exponential
-        backoff stretched by seeded jitter (drawn from the dedicated retry
-        stream only when a retry actually fires).  Resolves ``True`` once an
-        attempt lands the chunk, ``False`` when the budget is exhausted;
-        never raises.  Cancellation (straggler abandonment by the first-d
-        quorum) propagates to the in-flight attempt, whose ``finally`` block
-        bills the partial transfer as usual.
-        """
-        policy = self.resilience.retry
-        timeout_s = self.resilience.chunk_timeout_s
-        max_attempts = policy.max_attempts if policy is not None else 1
-        task = hedge = None
-        timer: Optional[SimFuture] = None
-        try:
-            for attempt in range(max_attempts):
-                if attempt > 0:
-                    backoff = (
-                        policy.base_backoff_s
-                        * policy.backoff_multiplier ** (attempt - 1)
-                        * (1.0 + policy.jitter_fraction * self._retry_rng.random())
-                    )
-                    self.metrics.counter("proxy.chunk_retries").increment()
-                    yield backoff
-                hedge = None
-                timer = None
-                task = env.loop.spawn(
-                    self._attempt_chunk_process(
-                        key, chunk_index, chunk, node, env, owner, category,
-                        fetch=fetch, store=store, span_parent=span_parent,
-                    ),
-                    label=f"{self.proxy_id}:attempt{attempt}:{key}#{chunk_index}",
-                )
-                if timeout_s is None:
-                    succeeded = yield task.future
-                else:
-                    timer = env.loop.timeout(
-                        timeout_s, label=f"{self.proxy_id}:deadline:{key}#{chunk_index}"
-                    )
-                    yield first_n(
-                        1, [task.future, timer],
-                        label=f"{self.proxy_id}:race:{key}#{chunk_index}",
-                    )
-                    if task.done:
-                        timer.cancel()
-                        succeeded = task.future.result
-                    else:
-                        # Deadline passed: hedge a second attempt against the
-                        # original, under a second deadline of its own — if
-                        # neither lands (the node's link is blackholed, say)
-                        # the attempt pair counts as failed and the backoff/
-                        # retry loop takes over instead of stalling until the
-                        # fault clears.
-                        self.metrics.counter("proxy.chunk_hedges").increment()
-                        hedge = env.loop.spawn(
-                            self._attempt_chunk_process(
-                                key, chunk_index, chunk, node, env, owner,
-                                category, store=store, span_parent=span_parent,
-                            ),
-                            label=f"{self.proxy_id}:hedge{attempt}:{key}#{chunk_index}",
-                        )
-                        timer = env.loop.timeout(
-                            timeout_s,
-                            label=f"{self.proxy_id}:hedge_deadline:{key}#{chunk_index}",
-                        )
-                        yield first_n(
-                            1, [task.future, hedge.future, timer],
-                            label=f"{self.proxy_id}:hedge_race:{key}#{chunk_index}",
-                        )
-                        if task.done or hedge.done:
-                            timer.cancel()
-                            winner, loser = (task, hedge) if task.done else (hedge, task)
-                            succeeded = bool(winner.future.result)
-                            loser.cancel()
-                        else:
-                            task.cancel()
-                            hedge.cancel()
-                            succeeded = False
-                if succeeded:
-                    return True
-            return False
-        finally:
-            for running in (task, hedge):
-                if running is not None and not running.done:
-                    running.cancel()
-            if timer is not None and not timer.done:
-                timer.cancel()
-
-    def _chunk_quorum(
-        self,
-        tasks: list[tuple[SimFuture, Optional[ChunkFetch]]],
-        needed: int,
-        label: str,
-    ) -> SimFuture:
-        """A future resolving with the first ``needed`` winning fetches, or
-        ``None`` as soon as reaching the quorum becomes impossible.
-
-        ``first_n`` cannot express this: a failed supervisor *resolves* (with
-        ``False``) rather than cancelling, so counting resolutions would
-        declare victory on failures.
-        """
-        quorum = SimFuture(label=label)
-        winners: list[Optional[ChunkFetch]] = []
-        state = {"failures": 0}
-        total = len(tasks)
-
-        def make_callback(fetch: Optional[ChunkFetch]):
-            def on_done(future: SimFuture) -> None:
-                if quorum.done:
-                    return
-                success = (not future.cancelled) and bool(future.result)
-                if success:
-                    winners.append(fetch)
-                    if len(winners) >= needed:
-                        quorum.resolve(list(winners))
-                else:
-                    state["failures"] += 1
-                    if total - state["failures"] < needed:
-                        quorum.resolve(None)
-            return on_done
-
-        for future, fetch in tasks:
-            future.add_done_callback(make_callback(fetch))
-        return quorum
-
-    def _get_process_hardened(self, key: str, env: RequestEnv, span=None):
-        """The GET coroutine with the request path hardened.
-
-        Identical to :meth:`get_process` except that every chunk transfer
-        runs under a retry/timeout/hedge supervisor, and a request that
-        cannot reach ``data_shards`` chunks degrades gracefully (backing
-        store fallback, mapping left intact for the failure detector)
-        instead of raising or dropping the object.
-        """
-        start = env.now
-        tracer = env.tracer
-        op_span = tracer.begin("proxy.get", span, proxy=self.proxy_id, key=key)
-        self.requests_served += 1
-        entry = self._objects.get(key)
-        if entry is None:
-            self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="miss")
-            return ProxyGetResult(key=key, found=False, recoverable=False, descriptor=None)
-
-        self._lru.touch(key)
-        descriptor = entry.descriptor
-        involved_nodes = [self.node(node_id) for node_id in entry.placement.values()]
-        owner = owner_of(key)
-        fetches: list[ChunkFetch] = []
-        pending: list[tuple[ChunkFetch, LambdaCacheNode]] = []
-        for chunk_index, node_id in sorted(entry.placement.items()):
-            node = self.node(node_id)
-            chunk = node.fetch_chunk(f"{key}#{chunk_index}") if node.is_alive else None
-            if chunk is None:
-                fetches.append(
-                    ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=None,
-                               time_s=float("inf"), lost=True)
-                )
-                continue
-            fetch = ChunkFetch(chunk_index=chunk_index, node_id=node_id, chunk=chunk,
-                               time_s=0.0, lost=False)
-            fetches.append(fetch)
-            pending.append((fetch, node))
-
-        lost_count = descriptor.total_chunks - len(pending)
-        hosts_touched = self._hosts_touched(involved_nodes)
-
-        if len(pending) < descriptor.data_shards:
-            # More than ``p`` chunks already gone from the mapping: this is
-            # the ordinary RESET path, not a transient fault — the caller
-            # re-fetches and re-inserts from the backing store.
-            self._remove_object(key)
-            self.metrics.counter("proxy.object_losses").increment()
-            self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="lost")
-            return ProxyGetResult(
-                key=key,
-                found=True,
-                recoverable=False,
-                descriptor=descriptor,
-                fetches=fetches,
-                chunks_lost=lost_count,
-                hosts_touched=hosts_touched,
-            )
-
-        tasks = []
-        for fetch, node in pending:
-            tasks.append(env.loop.spawn(
-                self._chunk_supervisor_process(
-                    key, fetch.chunk_index, fetch.chunk, node, env, owner,
-                    "serving", fetch=fetch, span_parent=op_span,
-                ),
-                label=f"{self.proxy_id}:fetch:{key}#{fetch.chunk_index}",
-            ))
-
-        winners = yield self._chunk_quorum(
-            [(task.future, fetch) for task, (fetch, _node) in zip(tasks, pending)],
-            descriptor.data_shards,
-            label=f"{self.proxy_id}:quorum:{key}",
-        )
-        latency = env.now - start
-        for (fetch, _node), task in zip(pending, tasks):
-            if not task.done:
-                fetch.abandoned = True
-                task.cancel()
-
-        if winners is None:
-            # Fewer than d chunks reachable after retries and hedging.
-            self.metrics.counter("proxy.degraded_fallbacks").increment()
-            if self.resilience.degraded_fallback:
-                tracer.finish(op_span, outcome="degraded")
-                return ProxyGetResult(
-                    key=key,
-                    found=True,
-                    recoverable=True,
-                    descriptor=descriptor,
-                    fetches=fetches,
-                    latency_s=latency,
-                    chunks_lost=lost_count,
-                    hosts_touched=hosts_touched,
-                    degraded=True,
-                )
-            self._remove_object(key)
-            self.metrics.counter("proxy.object_losses").increment()
-            self.metrics.counter("proxy.misses").increment()
-            tracer.finish(op_span, outcome="lost")
-            return ProxyGetResult(
-                key=key,
-                found=True,
-                recoverable=False,
-                descriptor=descriptor,
-                fetches=fetches,
-                chunks_lost=lost_count,
-                hosts_touched=hosts_touched,
-            )
-
-        used_chunks = [fetch.chunk for fetch in winners]
-        recovery_performed = False
-        if lost_count > 0:
-            self.metrics.counter("proxy.degraded_reads").increment()
-            if self.config.repair_degraded_objects:
-                try:
-                    recovery_performed = self._repair_object(key, entry, fetches, env.now)
-                except TransientFaultError:
-                    # A repair node faulted mid-repair; the stripe keeps its
-                    # stale placement and the next audit sweep re-detects it.
-                    self.metrics.counter("proxy.repair_faults").increment()
-
-        self.metrics.counter("proxy.hits").increment()
-        tracer.finish(op_span, outcome="hit", chunks_lost=lost_count)
-        return ProxyGetResult(
-            key=key,
-            found=True,
-            recoverable=True,
-            descriptor=descriptor,
-            fetches=fetches,
-            used_chunks=used_chunks,
-            latency_s=latency,
-            chunks_lost=lost_count,
-            recovery_performed=recovery_performed,
-            hosts_touched=hosts_touched,
-        )
-
-    def _put_process_hardened(
-        self,
-        key: str,
-        descriptor: ObjectDescriptor,
-        chunks: list[CacheChunk],
-        env: RequestEnv,
-        placement: Optional[list[str]] = None,
-        category: str = "serving",
-        span=None,
-    ):
-        """The PUT coroutine with every chunk store under a retry supervisor.
-
-        A chunk store that exhausts its retries rolls the partial object back
-        out of the mapping table and flags the result ``complete=False``
-        instead of raising into the driver.
-        """
-        if len(chunks) != descriptor.total_chunks:
-            raise CacheError(
-                f"object {key!r} descriptor expects {descriptor.total_chunks} chunks, "
-                f"got {len(chunks)}"
-            )
-        if placement is None:
-            placement = self.choose_placement(descriptor.total_chunks)
-        if len(placement) != descriptor.total_chunks:
-            raise CacheError("placement vector length does not match the chunk count")
-        if len(set(placement)) != len(placement):
-            raise CacheError("placement vector must name distinct nodes")
-
-        start = env.now
-        tracer = env.tracer
-        op_span = tracer.begin("proxy.put", span, proxy=self.proxy_id, key=key,
-                               category=category)
-        self._remove_object(key)
-        needed_by_node = {
-            node_id: chunk.size for node_id, chunk in zip(placement, chunks)
-        }
-        evicted = self._evict_until_fits(needed_by_node, sum(needed_by_node.values()))
-
-        target_nodes = [self.node(node_id) for node_id in placement]
-        owner = owner_of(key)
-        tasks = []
-        for chunk, node in zip(chunks, target_nodes):
-            tasks.append(env.loop.spawn(
-                self._chunk_supervisor_process(
-                    key, chunk.index, chunk, node, env, owner, category,
-                    store=True, span_parent=op_span,
-                ),
-                label=f"{self.proxy_id}:store:{key}#{chunk.index}",
-            ))
-
-        entry = _ObjectEntry(
-            descriptor=descriptor,
-            placement={chunk.index: node_id for chunk, node_id in zip(chunks, placement)},
-            inserted_at=start,
+            storing=True,
         )
         self._objects[key] = entry
         self._lru.insert(key, descriptor.stored_bytes)
@@ -1383,22 +1186,23 @@ class Proxy:
         results = yield all_of(
             [task.future for task in tasks], label=f"{self.proxy_id}:put:{key}"
         )
-
-        if not all(bool(result) for result in results):
-            # At least one chunk store exhausted its retries: roll the
-            # partial object back so a later GET is a clean miss rather than
-            # a permanently degraded stripe.
+        entry.storing = False
+        result = ProxyPutResult(
+            key=key,
+            latency_s=env.now - start,
+            node_ids=list(placement),
+            evicted_keys=evicted,
+            hosts_touched=self._hosts_touched(target_nodes),
+        )
+        if not all(results):
+            # At least one chunk store failed: roll the partial object back
+            # so a later GET is a clean miss rather than a permanently
+            # degraded stripe.
             self._remove_object(key)
             self.metrics.counter("proxy.put_failures").increment()
             tracer.finish(op_span, outcome="failed")
-            return ProxyPutResult(
-                key=key,
-                latency_s=env.now - start,
-                node_ids=list(placement),
-                evicted_keys=evicted,
-                hosts_touched=self._hosts_touched(target_nodes),
-                complete=False,
-            )
+            result.complete = False
+            return result
 
         if category == "serving":
             self.requests_served += 1
@@ -1406,15 +1210,8 @@ class Proxy:
         else:
             self.metrics.counter(f"proxy.{category}_puts").increment()
         self.metrics.gauge("proxy.bytes_used").set(self.pool_bytes_used())
-
         tracer.finish(op_span)
-        return ProxyPutResult(
-            key=key,
-            latency_s=env.now - start,
-            node_ids=list(placement),
-            evicted_keys=evicted,
-            hosts_touched=self._hosts_touched(target_nodes),
-        )
+        return result
 
     # ------------------------------------------------------------------ recovery
     def _repair_object(
@@ -1436,7 +1233,10 @@ class Proxy:
         """
         descriptor = entry.descriptor
         lost_fetches = [fetch for fetch in fetches if fetch.lost]
-        if not lost_fetches:
+        if not lost_fetches or entry.storing:
+            # A stripe whose PUT is in flight is not degraded: its "lost"
+            # chunks are stores still retrying, and a placeholder put down
+            # now would stay in the placement after the real chunk lands.
             return False
         occupied = set(entry.placement.values())
         replacements: list[LambdaCacheNode] = []

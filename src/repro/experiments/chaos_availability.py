@@ -40,11 +40,7 @@ def hardening_levels() -> dict[str, ResilienceConfig]:
     what varies is how hard the proxy tries before giving a chunk up.
     """
     return {
-        "fallback only": ResilienceConfig(
-            retry=RetryPolicy(max_attempts=1),
-            chunk_timeout_s=None,
-            circuit_breaker=None,
-        ),
+        "fallback only": ResilienceConfig(),
         "retry x3": ResilienceConfig(
             retry=RetryPolicy(max_attempts=3),
             chunk_timeout_s=None,

@@ -151,7 +151,7 @@ class ConcurrentReplayReport:
     resets: int = 0
     recoveries: int = 0
     #: Requests served from the backing store because the cache's chunks
-    #: were transiently unreachable (hardened path under fault injection).
+    #: were transiently unreachable (under fault injection).
     degraded_hits: int = 0
     #: Resilience counters harvested from the deployment after the run
     #: (chunk retries, hedges, breaker rejections, injected faults, ...).

@@ -3,8 +3,11 @@ accounting: determinism of injected faults, retry/hedge/breaker behaviour,
 graceful degradation, billing invariants under faults, and the failure
 detector's robustness to nodes dying inside its own repair sweep."""
 
+import dataclasses
+
 import pytest
 
+from repro.cache.chunk import CacheChunk, descriptor_for
 from repro.cache.config import (
     CircuitBreakerPolicy,
     InfiniCacheConfig,
@@ -15,7 +18,7 @@ from repro.cache.config import (
 from repro.cache.deployment import InfiniCacheDeployment
 from repro.cache.node import LambdaCacheNode
 from repro.cluster.rebalancer import FailureDetector
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InvocationFaultError
 from repro.faas.billing import BILLING_CYCLE_SECONDS
 from repro.faults import (
     ChaosEngine,
@@ -224,11 +227,13 @@ class TestHardenedRequestPath:
         assert storm.recovery_s is not None
 
     def test_unhardened_config_keeps_original_path(self):
+        """``resilience=None`` is the all-defaults config: one attempt per
+        chunk, no deadline, no breaker, degraded fallback on."""
         config = demo_config(seed=5, hardened=False)
         assert config.resilience is None
         deployment = InfiniCacheDeployment(config)
         for proxy in deployment.proxies:
-            assert not proxy.resilience.hardened
+            assert proxy.resilience == ResilienceConfig()
             assert all(node.breaker is None for node in proxy.nodes)
 
     def test_hardened_run_without_faults_stays_healthy(self):
@@ -237,6 +242,93 @@ class TestHardenedRequestPath:
         assert result.replay.degraded_hits == 0
         assert result.resilience.counters.get("proxy.chunk_faults", 0) == 0
         assert result.resilience.slo_delta("p99") == 0.0
+
+
+# --------------------------------------------------------------------------- one request path
+#: Fingerprint of the fault-free demo replay at seed 2020.
+FAULT_FREE_FINGERPRINT = "477bc97fd2353d6413971b103797924b136fa4bb7705e55790c77fe8f067660a"
+
+
+class TestOneRequestPath:
+    @pytest.mark.parametrize("resilience", [
+        None,
+        ResilienceConfig(retry=RetryPolicy(max_attempts=1)),
+        ResilienceConfig(retry=RetryPolicy(max_attempts=3)),
+    ], ids=["none", "one-attempt", "three-attempts"])
+    def test_supervisor_that_never_fires_is_invisible(self, resilience):
+        """Without faults a retry supervisor never retries, so whether it
+        is configured must not move a single event or RNG draw."""
+        config = dataclasses.replace(demo_config(seed=2020), resilience=resilience)
+        result = run_chaos_scenario(schedule=FaultSchedule(()), config=config)
+        assert result.fingerprint == FAULT_FREE_FINGERPRINT
+
+    def test_unhardened_run_degrades_under_invocation_faults(self):
+        """Injected invocation faults count against the first-d quorum
+        instead of escaping the request and aborting the replay."""
+        schedule = FaultSchedule((
+            InvocationFaults(at_s=10.0, duration_s=8.0, failure_probability=0.6),
+        ))
+        result = run_scenario(schedule, config=demo_config(hardened=False))
+        assert result.replay.requests == 40
+        assert result.resilience.counters["proxy.chunk_faults"] > 0
+        assert "proxy.chunk_retries" not in result.resilience.counters
+
+    def test_get_racing_a_retrying_put_leaves_the_stripe_alone(self):
+        """A GET that reads an object while one of its chunk stores is
+        backing off must not "repair" that chunk: the store lands later, and
+        the placement must still point at it."""
+        config = InfiniCacheConfig(
+            num_proxies=1,
+            lambdas_per_proxy=8,
+            lambda_memory_bytes=512 * MIB,
+            data_shards=4,
+            parity_shards=2,
+            straggler=StragglerModel(probability=0.0),
+            backup_enabled=False,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(max_attempts=3, base_backoff_s=0.5)
+            ),
+            seed=3,
+        )
+        deployment = InfiniCacheDeployment(config)
+        env = deployment.request_env
+        loop = deployment.simulator
+        proxy = deployment.proxies[0]
+        client = deployment.new_client()
+        value = bytes(range(256)) * 4096
+        descriptor = descriptor_for("k", len(value), 4, 2)
+        chunks = [
+            CacheChunk.from_erasure_chunk(chunk)
+            for chunk in client.codec.encode("k", value)
+        ]
+        placement = [node.node_id for node in proxy.nodes[:6]]
+        flaky = proxy.node(placement[1])
+        healthy_ensure_active = flaky.ensure_active
+
+        def fail_first_invocation(now, category="serving"):
+            flaky.ensure_active = healthy_ensure_active
+            raise InvocationFaultError(flaky.node_id)
+
+        flaky.ensure_active = fail_first_invocation
+        put = loop.spawn(proxy.put_process("k", descriptor, chunks, env,
+                                           placement=placement))
+        racing_get = loop.spawn(_after(0.2, client.get_process("k", env)))
+        loop.run_until(5.0)
+
+        assert put.future.result.complete
+        assert racing_get.future.result.hit
+        assert "proxy.recoveries" not in proxy.metrics.counters()
+        assert [proxy._objects["k"].placement[i] for i in range(6)] == placement
+        later_get = loop.spawn(client.get_process("k", env))
+        loop.run_until(10.0)
+        assert later_get.future.result.value == value
+
+
+def _after(delay_s, generator):
+    """Run a request coroutine ``delay_s`` virtual seconds from now."""
+    yield delay_s
+    result = yield from generator
+    return result
 
 
 # --------------------------------------------------------------------------- billing under faults
